@@ -48,7 +48,10 @@ class SolveStats:
 class SolveResult:
     """Outcome of a MILP solve."""
 
-    status: str  # "optimal" | "infeasible" | "node_limit"
+    #: "optimal" | "infeasible" | "node_limit" (own backend), plus
+    #: "time-limit" | "unbounded" | "numerical" (scipy/HiGHS backend).
+    #: Only "optimal" carries ``values``.
+    status: str
     values: dict[str, int] = field(default_factory=dict)
     objective: float = 0.0
     stats: SolveStats = field(default_factory=SolveStats)

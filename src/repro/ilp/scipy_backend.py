@@ -17,6 +17,12 @@ from .branch_bound import SolveResult, SolveStats, build_matrices
 from .model import IntegerProgram
 
 
+#: ``scipy.optimize.milp`` status codes that are not success, mapped
+#: to typed :class:`SolveResult` statuses; any other code (4, "other",
+#: and codes a future scipy may add) is reported as ``"numerical"``.
+_MILP_STATUS = {1: "time-limit", 2: "infeasible", 3: "unbounded"}
+
+
 def solve_scipy(problem: IntegerProgram) -> SolveResult:
     """Solve with ``scipy.optimize.milp``; same result contract as
     :func:`repro.ilp.branch_bound.solve_branch_bound`."""
@@ -54,7 +60,9 @@ def solve_scipy(problem: IntegerProgram) -> SolveResult:
     )
     stats.wall_time = time.perf_counter() - start
     if not result.success:
-        return SolveResult(status="infeasible", stats=stats)
+        return SolveResult(
+            status=_MILP_STATUS.get(result.status, "numerical"), stats=stats
+        )
     values = {name: int(round(result.x[j])) for j, name in enumerate(mat.names)}
     return SolveResult(
         status="optimal",

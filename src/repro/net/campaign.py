@@ -33,7 +33,7 @@ from ..fastpath import fastpath_enabled
 from ..obs import metrics, trace
 from .dissemination import PATCH_CYCLES_PER_BYTE, NodeLedger
 from .errors import NetConfigError
-from .faults import FaultPlan
+from .faults import FaultPlan, LinkState, linked
 from .kernel import SimKernel
 from .lossy import NACK_BYTES
 from .node_state import APPLY_ROUNDS, NodeUpdateState, packetise_blob
@@ -491,6 +491,12 @@ class _CampaignEngine:
         self.last_progress = 0
         self.round_progress: dict[int, bool] = {}
         self.partition_open: set[int] = set()
+        self.links = LinkState(plan.partitions)
+        # Per-bit radio energies, hoisted out of the round body (the
+        # same expressions as the PowerModel properties, so every float
+        # is identical).
+        self.tx_bit_j = power.tx_bit_energy_j
+        self.rx_bit_j = power.rx_bit_energy_j
 
         # -- device-profile state (all inert without an active profile) --
         # Airtime: cumulative on-air seconds per node against a cap that
@@ -536,11 +542,6 @@ class _CampaignEngine:
                 )
 
     # -- predicates ------------------------------------------------------
-
-    def link_up(self, a: int, b: int, round_no: int) -> bool:
-        return not any(
-            w.severs(a, b, round_no) for w in self.plan.partitions
-        )
 
     def can_recover(self, node: int) -> bool:
         """Will a browned-out node ever recharge to its restart level?"""
@@ -747,7 +748,7 @@ class _CampaignEngine:
 
     def run_phases(self) -> None:
         """One round's NACK, broadcast, and apply phases."""
-        topology = self.topology
+        neighbors = self.topology.neighbors
         states = self.states
         ledgers = self.ledgers
         plan = self.plan
@@ -756,12 +757,17 @@ class _CampaignEngine:
         rounds = self.rounds
         node_count = self.node_count
         round_progress = self.round_progress
+        capacitor = self.stored is not None
+        # ``None`` when no partition window is open: every link is up.
+        islands = self.links.islands(rounds)
 
         # -- power phase (harvest income, recharge-driven resumes) -------
         self.power_round()
 
         # -- NACK phase (backoff-gated version/missing advertisement) ----
         nack_airtime = self.nack_bits / power.radio_bps
+        nack_tx_j = self.nack_bits * self.tx_bit_j
+        nack_rx_j = self.nack_bits * self.rx_bit_j
         for node in range(1, node_count):
             state = states[node]
             if not state.should_nack(rounds, count):
@@ -772,37 +778,54 @@ class _CampaignEngine:
             self.nacks += 1
             state.note_nack(rounds, count)
             self.note_tx_airtime(node, nack_airtime)
-            nack_tx_j = self.nack_bits * power.tx_bit_energy_j
             ledgers[node].tx_j += nack_tx_j
             if not self.spend(node, nack_tx_j):
                 self.fire_brownout(node, "NACK tx")
                 continue
-            for peer in topology.neighbors.get(node, ()):
-                if states[peer].alive and self.link_up(node, peer, rounds):
-                    nack_rx_j = self.nack_bits * power.rx_bit_energy_j
+            for peer in neighbors.get(node, ()):
+                if states[peer].alive and (
+                    islands is None or linked(islands, node, peer)
+                ):
                     ledgers[peer].rx_j += nack_rx_j
-                    if not self.spend(peer, nack_rx_j):
+                    if capacitor and not self.spend(peer, nack_rx_j):
                         self.fire_brownout(peer, "NACK rx")
 
         # -- broadcast phase (snapshot: hop-by-hop progression) ----------
+        # Demand first: a sender transmits only what its alive, linked
+        # neighbours advertise as missing, so the union of those sets is
+        # taken before anything else and a sender nobody wants anything
+        # from is skipped without building its delivery list.
         snapshot = {
             node: frozenset(states[node].bank) for node in range(node_count)
         }
+        link_random = self.rng_link.random
+        fault_random = self.rng_fault.random
+        loss = self.loss
         for sender in range(node_count):
-            state = states[sender]
-            if not state.alive or not snapshot[sender]:
+            if not states[sender].alive or not snapshot[sender]:
                 continue
-            neighbours = [
-                peer
-                for peer in topology.neighbors.get(sender, ())
-                if states[peer].alive and self.link_up(sender, peer, rounds)
-            ]
-            if not neighbours:
-                continue
+            peers = neighbors.get(sender, ())
             wanted: set[int] = set()
-            for peer in neighbours:
-                wanted |= states[peer].advertised_missing
+            for peer in peers:
+                peer_state = states[peer]
+                if (
+                    peer_state.advertised_missing
+                    and peer_state.alive
+                    and (islands is None or linked(islands, sender, peer))
+                ):
+                    wanted |= peer_state.advertised_missing
+            if not wanted:
+                continue
             sendable = sorted(snapshot[sender] & wanted)
+            if not sendable:
+                continue
+            # Delivery order (and so RNG draw order) is topology order.
+            neighbours = [
+                states[peer]
+                for peer in peers
+                if states[peer].alive
+                and (islands is None or linked(islands, sender, peer))
+            ]
             for slot, index in enumerate(sendable):
                 packet = self.packets[index]
                 bits = 8 * (len(packet.payload) + self.overhead_per_packet)
@@ -817,42 +840,43 @@ class _CampaignEngine:
                 key = (sender, index)
                 self.tx_counts[key] = self.tx_counts.get(key, 0) + 1
                 self.note_tx_airtime(sender, airtime)
-                tx_j = bits * power.tx_bit_energy_j
+                tx_j = bits * self.tx_bit_j
+                rx_j = bits * self.rx_bit_j
                 ledgers[sender].tx_j += tx_j
                 ledgers[sender].packets_sent += 1
                 sender_powered = self.spend(sender, tx_j)
-                for peer in neighbours:
-                    peer_state = states[peer]
+                for peer_state in neighbours:
                     if not peer_state.alive:
                         continue
                     if peer_state.committed or index in peer_state.bank:
                         continue
+                    peer = peer_state.node
+                    ledger = ledgers[peer]
                     deliveries = 1
                     if (
                         plan.duplicate_prob
-                        and self.rng_fault.random() < plan.duplicate_prob
+                        and fault_random() < plan.duplicate_prob
                     ):
                         deliveries = 2
                     for _ in range(deliveries):
-                        rx_j = bits * power.rx_bit_energy_j
-                        ledgers[peer].rx_j += rx_j
-                        if not self.spend(peer, rx_j):
+                        ledger.rx_j += rx_j
+                        if capacitor and not self.spend(peer, rx_j):
                             self.fire_brownout(peer, "packet rx")
                             break
-                        if self.rng_link.random() < self.loss:
+                        if link_random() < loss:
                             self.drops += 1
                             continue
                         delivered = packet
                         if (
                             plan.corrupt_prob
-                            and self.rng_fault.random() < plan.corrupt_prob
+                            and fault_random() < plan.corrupt_prob
                         ):
                             delivered = packet.corrupted(
                                 self.rng_fault.randrange(1 << 16)
                             )
                         verdict = peer_state.receive(delivered, count)
                         if verdict == "accepted":
-                            ledgers[peer].packets_received += 1
+                            ledger.packets_received += 1
                             round_progress[peer] = True
                             self.last_progress = rounds
                         elif verdict == "corrupt":

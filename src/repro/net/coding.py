@@ -43,7 +43,7 @@ from ..energy.power_model import MICA2, PowerModel
 from ..obs import metrics, trace
 from .dissemination import PATCH_CYCLES_PER_BYTE, NodeLedger
 from .errors import NetConfigError
-from .faults import FaultPlan
+from .faults import FaultPlan, LinkState, linked
 from .node_state import packetise_blob
 from .topology import Topology
 
@@ -414,8 +414,9 @@ def _run_coded(
         if window.end <= max_rounds:
             event_rounds.add(window.end)
 
-    def link_up(a: int, b: int) -> bool:
-        return not any(w.severs(a, b, rounds) for w in plan.partitions)
+    links = LinkState(plan.partitions)
+    tx_packet_j = packet_bits * power.tx_bit_energy_j
+    rx_packet_j = packet_bits * power.rx_bit_energy_j
 
     def pending() -> "List[int]":
         out = []
@@ -470,6 +471,9 @@ def _run_coded(
             if window.end == rounds:
                 fault_log.append(f"r{rounds}: partition {{{island}}} healed")
 
+        # ``None`` when no partition window is open: every link is up.
+        islands = links.islands(rounds)
+
         # -- broadcast phase: elected servers fountain to needy peers --
         # Each needy node elects its lowest-indexed decoded neighbour as
         # its server (receivers advertise their rank deficit, the
@@ -484,7 +488,9 @@ def _run_coded(
             candidates = [
                 peer
                 for peer in topology.neighbors.get(node, ())
-                if committed[peer] and alive[peer] and link_up(node, peer)
+                if committed[peer]
+                and alive[peer]
+                and (islands is None or linked(islands, node, peer))
             ]
             if candidates:
                 chosen = min(candidates)
@@ -494,7 +500,9 @@ def _run_coded(
             needy = [
                 peer
                 for peer in topology.neighbors.get(sender, ())
-                if alive[peer] and not committed[peer] and link_up(sender, peer)
+                if alive[peer]
+                and not committed[peer]
+                and (islands is None or linked(islands, sender, peer))
             ]
             if not needy:
                 continue
@@ -511,10 +519,10 @@ def _run_coded(
                 mask = streams[sender].mask_at(sequence)
                 payload = streams[sender].payload_at(sequence, padded)
                 broadcasts += 1
-                ledgers[sender].tx_j += packet_bits * power.tx_bit_energy_j
+                ledgers[sender].tx_j += tx_packet_j
                 ledgers[sender].packets_sent += 1
                 for peer in needy:
-                    ledgers[peer].rx_j += packet_bits * power.rx_bit_energy_j
+                    ledgers[peer].rx_j += rx_packet_j
                     if rng_link.random() < loss:
                         drops += 1
                         continue

@@ -110,6 +110,48 @@ class PartitionWindow:
         return (a in self.nodes) != (b in self.nodes)
 
 
+class LinkState:
+    """Partition link state, resolved per round into open island sets.
+
+    The one place every simulator asks whether a link is cut.  For a
+    round, :meth:`islands` returns ``None`` when no window is open —
+    callers then skip link checks altogether — or the open windows'
+    islands as frozensets, which :func:`linked` tests membership
+    against.  Together they answer exactly what
+    ``not any(w.severs(a, b, round_no) for w in partitions)`` answers.
+    """
+
+    __slots__ = ("_windows", "_by_round")
+
+    def __init__(self, partitions: "tuple[PartitionWindow, ...]"):
+        self._windows = tuple(
+            (window.start, window.end, frozenset(window.nodes))
+            for window in partitions
+        )
+        self._by_round: "dict[int, tuple[frozenset[int], ...] | None]" = {}
+
+    def islands(self, round_no: int) -> "tuple[frozenset[int], ...] | None":
+        """The islands cut off during ``round_no``, or ``None``."""
+        try:
+            return self._by_round[round_no]
+        except KeyError:
+            open_islands = tuple(
+                island
+                for start, end, island in self._windows
+                if start <= round_no < end
+            ) or None
+            self._by_round[round_no] = open_islands
+            return open_islands
+
+
+def linked(islands: "tuple[frozenset[int], ...]", a: int, b: int) -> bool:
+    """Is the ``a``—``b`` link up, given a round's open ``islands``?"""
+    for island in islands:
+        if (a in island) != (b in island):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class PowerTrace:
     """A scripted power history for one node.
@@ -357,9 +399,11 @@ def generate_power_traces(
 
 __all__ = [
     "FaultPlan",
+    "LinkState",
     "NodeCrash",
     "PartitionWindow",
     "PowerTrace",
     "generate_fault_plan",
     "generate_power_traces",
+    "linked",
 ]

@@ -30,7 +30,7 @@ from ..energy.power_model import PowerModel
 from ..obs import metrics
 from .dissemination import PATCH_CYCLES_PER_BYTE
 from .errors import NetConfigError
-from .faults import FaultPlan
+from .faults import FaultPlan, LinkState, linked
 from .kernel import DutyCycle, KernelReport, SimKernel, rounds_equivalent
 from .node_state import packetise_blob
 from .profiles import DeviceProfile
@@ -179,6 +179,11 @@ class FleetSim:
             8 * (len(pkt.payload) + overhead_per_packet) for pkt in self.packets
         ]
         self.patch_j = PATCH_CYCLES_PER_BYTE * len(blob) * power.cycle_energy_j
+        # Per-bit radio energies, hoisted out of the per-delivery
+        # accounting (the same expressions as the PowerModel properties,
+        # so every float is identical).
+        self.tx_bit_j = power.tx_bit_energy_j
+        self.rx_bit_j = power.rx_bit_energy_j
 
         hops = topology.hops_from_sink()
         self.unreachable = tuple(
@@ -248,6 +253,10 @@ class FleetSim:
                 )
 
         self._partition_open: "set[int]" = set()
+        #: False when the plan scripts no partition window, so protocols
+        #: filter neighbours on ``alive`` alone.
+        self.windowed = bool(self.plan.partitions)
+        self.links = LinkState(self.plan.partitions)
         self._schedule_faults()
 
     # -- fault plan as kernel events ------------------------------------
@@ -336,12 +345,8 @@ class FleetSim:
 
     def link_up(self, a: int, b: int) -> bool:
         """Is the ``a``—``b`` link usable at the current kernel time?"""
-        if not self.plan.partitions:
-            return True
-        round_no = int(self.kernel.now / self.round_s)
-        return not any(
-            window.severs(a, b, round_no) for window in self.plan.partitions
-        )
+        islands = self.links.islands(int(self.kernel.now / self.round_s))
+        return islands is None or linked(islands, a, b)
 
     # -- device-profile machinery ---------------------------------------
 
@@ -453,13 +458,13 @@ class FleetSim:
         """Kernel TX accounting plus the capacitor debit; returns False
         when the transmission browned the sender out."""
         self.kernel.account_tx(node, bits)
-        return self.spend(node, bits * self.power.tx_bit_energy_j)
+        return self.spend(node, bits * self.tx_bit_j)
 
     def account_rx(self, node: int, bits: int) -> bool:
         """Kernel RX accounting plus the capacitor debit; returns False
         when the reception browned the receiver out."""
         self.kernel.account_rx(node, bits)
-        if not self.spend(node, bits * self.power.rx_bit_energy_j):
+        if not self.spend(node, bits * self.rx_bit_j):
             self._brownout(node, "packet rx")
             return False
         return True
@@ -501,8 +506,12 @@ class FleetSim:
         # brownout fires only after the peer loop: the packets were
         # already in flight when the supply collapsed.
         sender_powered = self.account_tx(sender, bits)
+        nodes = self.nodes
+        windowed = self.windowed
         for peer in self.topology.neighbors.get(sender, ()):
-            if not self.nodes[peer].alive or not self.link_up(sender, peer):
+            if not nodes[peer].alive or (
+                windowed and not self.link_up(sender, peer)
+            ):
                 continue
             if not self.account_rx(peer, bits):
                 continue

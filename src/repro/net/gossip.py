@@ -113,11 +113,16 @@ class GossipSim(FleetSim):
             # Regulatory off-time not elapsed: sit this period out (a
             # deferral, never a violation); the period timer retries.
             return
-        candidates = [
-            peer
-            for peer in self.topology.neighbors.get(node, ())
-            if self.nodes[peer].alive and self.link_up(node, peer)
-        ]
+        nodes = self.nodes
+        peers = self.topology.neighbors.get(node, ())
+        if self.windowed:
+            candidates = [
+                peer
+                for peer in peers
+                if nodes[peer].alive and self.link_up(node, peer)
+            ]
+        else:
+            candidates = [peer for peer in peers if nodes[peer].alive]
         if not candidates:
             return
         peer = candidates[self.rng.randrange(len(candidates))]
@@ -164,7 +169,7 @@ class GossipSim(FleetSim):
         rstate = self.nodes[receiver]
         if not sstate.alive or not rstate.alive or rstate.committed:
             return
-        if not self.link_up(sender, receiver):
+        if self.windowed and not self.link_up(sender, receiver):
             return
         mask = sstate.held & ~rstate.held
         if not mask:

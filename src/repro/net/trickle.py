@@ -163,8 +163,12 @@ class TrickleSim(FleetSim):
             return
         self.beacons += 1
         sender_powered = self.account_tx(node, self.beacon_bits)
+        nodes = self.nodes
+        windowed = self.windowed
         for peer in self.topology.neighbors.get(node, ()):
-            if not self.nodes[peer].alive or not self.link_up(node, peer):
+            if not nodes[peer].alive or (
+                windowed and not self.link_up(node, peer)
+            ):
                 continue
             if not self.account_rx(peer, self.beacon_bits):
                 continue

@@ -43,7 +43,10 @@ class ILPChunkOutcome:
 
     lo: int
     hi: int
-    status: str  # "adopted" | "kept_greedy" | "skipped_too_big" | "infeasible"
+    #: "adopted" | "kept_greedy" | "skipped_too_big", or the solver's
+    #: non-optimal :attr:`SolveResult.status` ("infeasible", "node_limit",
+    #: "time-limit", "unbounded", "numerical").
+    status: str
     stats: SolveStats | None = None
     variables_redecided: int = 0
 
@@ -118,7 +121,7 @@ def allocate_ucc_ilp(
         if result.status != "optimal":
             report.chunks.append(
                 ILPChunkOutcome(
-                    chunk.start, chunk.end, "infeasible", stats=result.stats
+                    chunk.start, chunk.end, result.status, stats=result.stats
                 )
             )
             continue

@@ -203,3 +203,52 @@ class TestModel:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             solve(IntegerProgram(), backend="cplex")
+
+
+class TestScipyOutcomes:
+    @pytest.mark.parametrize(
+        "milp_status, expected",
+        [
+            (1, "time-limit"),
+            (2, "infeasible"),
+            (3, "unbounded"),
+            (4, "numerical"),
+            (7, "numerical"),  # a code scipy does not document today
+        ],
+    )
+    def test_failed_milp_maps_to_typed_status(
+        self, monkeypatch, milp_status, expected
+    ):
+        """Every failed ``milp`` is reported with its own status, and
+        the ILP allocator records that status for the chunk."""
+        import scipy.optimize
+        from repro.core import Compiler, CompilerOptions, compile_source
+        from repro.regalloc import allocate_ucc_ilp
+        from repro.workloads import CASES
+
+        def failed_milp(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(
+                success=False,
+                status=milp_status,
+                x=None,
+                fun=None,
+                message="stubbed failure",
+            )
+
+        monkeypatch.setattr(scipy.optimize, "milp", failed_milp)
+        result = solve_scipy(random_program(np.random.default_rng(3)))
+        assert result.status == expected
+        assert result.values == {}
+
+        case = CASES["6"]
+        old = compile_source(case.old_source)
+        module = Compiler(CompilerOptions()).front_and_middle(case.new_source)
+        fname = "tosh_run_next_task"
+        _, report = allocate_ucc_ilp(
+            module.functions[fname],
+            old.module.functions[fname],
+            old.records[fname],
+            cache=False,
+        )
+        solved = [o.status for o in report.chunks if o.stats is not None]
+        assert solved and set(solved) == {expected}
