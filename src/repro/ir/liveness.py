@@ -14,7 +14,7 @@ consumes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cfg import CFG, build_cfg
 from .function import IRFunction
@@ -48,13 +48,27 @@ class LiveInterval:
 
 @dataclass
 class LivenessInfo:
-    """All liveness facts for one function."""
+    """All liveness facts for one function.
+
+    ``live_in``/``live_out`` hold one set per instruction; inside a
+    block ``live_out[i]`` is the same set object as ``live_in[i + 1]``,
+    so treat them as read-only.  ``intervals`` is built on first access,
+    from the function as it is then: read it before rewriting ``fn``.
+    """
 
     function: IRFunction
     cfg: CFG
     live_in: list[set]
     live_out: list[set]
-    intervals: dict[str, LiveInterval]
+    _intervals: dict[str, LiveInterval] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def intervals(self) -> dict[str, LiveInterval]:
+        if self._intervals is None:
+            self._intervals = _build_intervals(self.function, self.live_in, self.live_out)
+        return self._intervals
 
     def interval(self, name: str) -> LiveInterval:
         return self.intervals[name]
@@ -81,66 +95,86 @@ class LivenessInfo:
 
 
 def analyze(fn: IRFunction) -> LivenessInfo:
-    """Run backward liveness over ``fn`` and derive live intervals."""
-    cfg = build_cfg(fn)
-    count = len(fn.instrs)
-    live_in = [set() for _ in range(count)]
-    live_out = [set() for _ in range(count)]
+    """Run backward liveness over ``fn``; intervals follow on demand.
 
+    The dataflow runs per CFG block: each block's instructions fold
+    into one ``live_in = gen | (live_out - kill)`` transfer, the block
+    equations iterate to their least fixpoint, and one backward sweep
+    per block then fills in the per-instruction sets.
+    """
+    cfg = build_cfg(fn)
+    instrs = fn.instrs
+    count = len(instrs)
     uses = []
     defs = []
-    for ins in fn.instrs:
+    for ins in instrs:
         uses.append({r.name for r in ins.uses()})
         defs.append({r.name for r in ins.defs()})
 
+    blocks = cfg.blocks
+    gen = []
+    kill = []
+    for block in blocks:
+        block_gen: set = set()
+        block_kill: set = set()
+        for idx in range(block.end - 1, block.start - 1, -1):
+            block_gen = uses[idx] | (block_gen - defs[idx])
+            block_kill |= defs[idx]
+        gen.append(block_gen)
+        kill.append(block_kill)
+
+    block_in: list[set] = list(gen)  # the transfer of an empty live_out
+    block_out: list[set] = [set() for _ in blocks]
     changed = True
     while changed:
         changed = False
-        # Iterate blocks in reverse for faster convergence.
-        for block in reversed(cfg.blocks):
-            for idx in reversed(range(block.start, block.end)):
-                out: set = set()
-                if idx == block.end - 1 or fn.instrs[idx].is_terminator:
-                    for succ in cfg.successors_of_instr(idx):
-                        out |= live_in[succ]
-                else:
-                    out = set(live_in[idx + 1])
-                new_in = uses[idx] | (out - defs[idx])
-                if out != live_out[idx] or new_in != live_in[idx]:
-                    live_out[idx] = out
-                    live_in[idx] = new_in
-                    changed = True
+        # Reverse block order converges fastest for backward flow.
+        for block in reversed(blocks):
+            b = block.index
+            out: set = set()
+            for succ in block.successors:
+                out |= block_in[succ]
+            if out != block_out[b]:
+                block_out[b] = out
+                block_in[b] = gen[b] | (out - kill[b])
+                changed = True
 
-    intervals = _build_intervals(fn, live_in, live_out)
-    return LivenessInfo(
-        function=fn, cfg=cfg, live_in=live_in, live_out=live_out, intervals=intervals
-    )
+    live_in: list[set] = [set()] * count  # every entry is replaced below
+    live_out: list[set] = [set()] * count
+    for block in blocks:
+        live = block_out[block.index]
+        for idx in range(block.end - 1, block.start - 1, -1):
+            live_out[idx] = live
+            live = uses[idx] | (live - defs[idx])
+            live_in[idx] = live
+    return LivenessInfo(function=fn, cfg=cfg, live_in=live_in, live_out=live_out)
 
 
 def _build_intervals(fn, live_in, live_out) -> dict[str, LiveInterval]:
-    intervals: dict[str, LiveInterval] = {}
-    vreg_by_name = {r.name: r for r in fn.vregs()}
-
-    def touch(name: str, index: int) -> None:
-        reg = vreg_by_name[name]
-        interval = intervals.get(name)
-        if interval is None:
-            intervals[name] = LiveInterval(vreg=reg, start=index, end=index)
-        else:
-            interval.start = min(interval.start, index)
-            interval.end = max(interval.end, index)
-
-    # Parameters are live from function entry.
+    # name -> [first, last] index at which the vreg is touched or live.
+    # The sweep runs in index order, so a name's first touch is its
+    # start.  Parameters are live from function entry.
+    bounds: dict[str, list[int]] = {}
+    vreg_by_name: dict[str, VReg] = {}  # first appearance, as fn.vregs()
     for reg in fn.param_vregs:
-        touch(reg.name, 0)
-
+        vreg_by_name.setdefault(reg.name, reg)
+        bounds[reg.name] = [0, 0]
     for idx, ins in enumerate(fn.instrs):
-        for name in {r.name for r in ins.vregs()}:
-            touch(name, idx)
-        for name in live_out[idx]:
-            touch(name, idx)
-        for name in live_in[idx]:
-            touch(name, idx)
+        touched = []
+        for reg in ins.vregs():
+            vreg_by_name.setdefault(reg.name, reg)
+            touched.append(reg.name)
+        for names in (touched, live_out[idx], live_in[idx]):
+            for name in names:
+                span = bounds.get(name)
+                if span is None:
+                    bounds[name] = [idx, idx]
+                else:
+                    span[1] = idx
+    intervals = {
+        name: LiveInterval(vreg=vreg_by_name[name], start=start, end=end)
+        for name, (start, end) in bounds.items()
+    }
 
     # Flag call-crossing intervals.
     for idx, ins in enumerate(fn.instrs):

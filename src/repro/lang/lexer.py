@@ -5,14 +5,16 @@ avr-gcc.  The token set covers everything the shipped workloads need:
 unsigned 8/16-bit scalars, fixed-size arrays, functions, the usual
 C operators, and decimal/hex/char literals.
 
-The lexer is a straightforward hand-written scanner.  It produces a flat
-list of :class:`Token` and raises :class:`~repro.lang.errors.LexError`
+The lexer is a hand-written scanner over compiled patterns.  It produces a
+flat list of :class:`Token` and raises :class:`~repro.lang.errors.LexError`
 on any character it does not understand.
 """
 
 from __future__ import annotations
 
 import enum
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import LexError, SourceLocation
@@ -121,149 +123,124 @@ _ESCAPES = {
 }
 
 
+# One match skips the trivia before a token (whitespace, // and /* */
+# comments) and takes a run of word characters or a punctuator.  ``\w``
+# is exactly ``str.isalnum()`` or ``_``; which token a word run starts
+# is decided on its first character.  The punctuator alternation tries
+# PUNCTUATORS in order, so it munches maximally, and it never takes the
+# ``/`` of an unterminated block comment.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)*"
+    r"(?:(?P<word>\w+)|(?!/\*)(?P<punct>"
+    + "|".join(re.escape(punct) for punct in PUNCTUATORS)
+    + "))?"
+)
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F]+")
+
+
 class Lexer:
-    """Converts ucc-C source text into a token stream."""
+    """Converts ucc-C source text into a token stream.
+
+    Each token costs one compiled-pattern match from the current
+    offset; its line and column come from the offsets of the line
+    starts before it.
+    """
 
     def __init__(self, source: str, filename: str = "<source>"):
         self.source = source
         self.filename = filename
         self.pos = 0
-        self.line = 1
-        self.column = 1
+        self._line_starts = [0] + [match.end() for match in re.finditer("\n", source)]
 
-    # -- low-level cursor helpers -------------------------------------
+    def _loc(self, pos: int) -> SourceLocation:
+        line = bisect_right(self._line_starts, pos)
+        return SourceLocation(line, pos - self._line_starts[line - 1] + 1, self.filename)
 
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self.line, self.column, self.filename)
+    # -- scanners for the rarer tokens -----------------------------------
+    # Each returns the token and the offset just after it.
 
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        if idx < len(self.source):
-            return self.source[idx]
-        return ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.source):
-                return
-            if self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and // and /* */ comments."""
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._loc()
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", start)
-            else:
-                return
-
-    # -- token scanners ------------------------------------------------
-
-    def _scan_number(self) -> Token:
-        loc = self._loc()
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            if not self._peek().strip() or not _is_hex(self._peek()):
+    def _scan_number(self, start: int, loc: SourceLocation) -> tuple[Token, int]:
+        source = self.source
+        if source.startswith(("0x", "0X"), start):
+            digits = _HEX_DIGITS.match(source, start + 2)
+            if digits is None:
                 raise LexError("malformed hex literal", loc)
-            while _is_hex(self._peek()):
-                self._advance()
-            text = self.source[start : self.pos]
-            return Token(TokenKind.INT, int(text, 16), loc)
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek().isalpha() or self._peek() == "_":
+            end = digits.end()
+            return Token(TokenKind.INT, int(source[start:end], 16), loc), end
+        end = start + 1
+        size = len(source)
+        while end < size and source[end].isdigit():
+            end += 1
+        if end < size and (source[end].isalpha() or source[end] == "_"):
             raise LexError(
-                f"invalid character {self._peek()!r} in number", self._loc()
+                f"invalid character {source[end]!r} in number", self._loc(end)
             )
-        text = self.source[start : self.pos]
-        return Token(TokenKind.INT, int(text, 10), loc)
+        return Token(TokenKind.INT, int(source[start:end], 10), loc), end
 
-    def _scan_char(self) -> Token:
-        loc = self._loc()
-        self._advance()  # opening quote
-        ch = self._peek()
+    def _scan_char(self, start: int, loc: SourceLocation) -> tuple[Token, int]:
+        source = self.source
+        pos = start + 1  # past the opening quote
+        ch = source[pos : pos + 1]
         if ch == "":
             raise LexError("unterminated character literal", loc)
         if ch == "\\":
-            self._advance()
-            esc = self._peek()
+            esc = source[pos + 1 : pos + 2]
             if esc not in _ESCAPES:
                 raise LexError(f"unknown escape '\\{esc}'", loc)
             value = _ESCAPES[esc]
-            self._advance()
+            pos += 2
         else:
             value = ord(ch)
-            self._advance()
-        if self._peek() != "'":
+            pos += 1
+        if source[pos : pos + 1] != "'":
             raise LexError("unterminated character literal", loc)
-        self._advance()
-        return Token(TokenKind.INT, value, loc)
-
-    def _scan_word(self) -> Token:
-        loc = self._loc()
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, loc)
-
-    def _scan_punct(self) -> Token:
-        loc = self._loc()
-        rest = self.source[self.pos :]
-        for punct in PUNCTUATORS:
-            if rest.startswith(punct):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, loc)
-        raise LexError(f"unexpected character {self._peek()!r}", loc)
+        return Token(TokenKind.INT, value, loc), pos + 1
 
     # -- public API ------------------------------------------------------
 
-    def next_token(self) -> Token:
-        """Return the next token, or an EOF token at end of input."""
-        self._skip_trivia()
-        if self.pos >= len(self.source):
-            return Token(TokenKind.EOF, "", self._loc())
-        ch = self._peek()
-        if ch.isdigit():
-            return self._scan_number()
-        if ch == "'":
-            return self._scan_char()
-        if ch.isalpha() or ch == "_":
-            return self._scan_word()
-        return self._scan_punct()
-
     def tokenize(self) -> list[Token]:
         """Scan the whole input and return all tokens including the EOF."""
-        tokens = []
+        source = self.source
+        match = _TOKEN.match
+        tokens: list[Token] = []
+        append = tokens.append
+        pos = self.pos
         while True:
-            tok = self.next_token()
-            tokens.append(tok)
-            if tok.kind is TokenKind.EOF:
+            found = match(source, pos)
+            kind = found.lastgroup
+            # Without a word or punctuator, the token (if any) starts
+            # where the trivia ends and its scanner finds its end.
+            start, end = found.span(kind) if kind else (found.end(), -1)
+            loc = self._loc(start)
+            if kind == "punct":
+                append(Token(TokenKind.PUNCT, source[start:end], loc))
+                pos = end
+                continue
+            ch = source[start : start + 1]
+            if kind == "word" and (ch.isalpha() or ch == "_"):
+                text = source[start:end]
+                append(
+                    Token(
+                        TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT,
+                        text,
+                        loc,
+                    )
+                )
+                pos = end
+            elif ch.isdigit():
+                token, pos = self._scan_number(start, loc)
+                append(token)
+            elif ch == "'":
+                token, pos = self._scan_char(start, loc)
+                append(token)
+            elif ch == "":
+                append(Token(TokenKind.EOF, "", loc))
+                self.pos = start
                 return tokens
-
-
-def _is_hex(ch: str) -> bool:
-    return bool(ch) and ch in "0123456789abcdefABCDEF"
+            elif source.startswith("/*", start):
+                raise LexError("unterminated block comment", loc)
+            else:
+                raise LexError(f"unexpected character {ch!r}", loc)
 
 
 def tokenize(source: str, filename: str = "<source>") -> list[Token]:

@@ -11,8 +11,10 @@ Grammar (EBNF, ``//`` comments handled by the lexer)::
                  | continue ";" | block | expr_or_assign ";" ;
     init         = expr | "{" expr { "," expr } "}" ;
 
-Expressions use standard C precedence.  ``++``/``--`` are statement-level
-sugar for ``x += 1`` / ``x -= 1`` (prefix or postfix, value unused).
+Expressions use standard C precedence, every binary level
+left-associative; binary operators are parsed by precedence climbing
+over ``_PRECEDENCE``.  ``++``/``--`` are statement-level sugar for
+``x += 1`` / ``x -= 1`` (prefix or postfix, value unused).
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ _PRECEDENCE = [
     ["*", "/", "%"],
 ]
 
+#: binary operator -> its level in _PRECEDENCE (higher binds tighter)
+_BINARY_LEVEL = {op: level for level, ops in enumerate(_PRECEDENCE) for op in ops}
+
+_UNARY_OPS = frozenset({"-", "~", "!", "+"})
+
 _COMPOUND_OPS = {
     "+=": "+",
     "-=": "-",
@@ -58,33 +65,35 @@ class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.index = 0
+        #: The token at ``index``; the stream's last token (EOF) once
+        #: the stream is exhausted.
+        self.current = tokens[0]
 
     # -- token stream helpers ------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
-
     def _next(self) -> Token:
-        tok = self._peek()
+        tok = self.current
         if tok.kind is not TokenKind.EOF:
             self.index += 1
+            self.current = self.tokens[min(self.index, len(self.tokens) - 1)]
         return tok
 
     def _at(self, kind: TokenKind, value: object = None) -> bool:
-        tok = self._peek()
+        tok = self.current
         if tok.kind is not kind:
             return False
         return value is None or tok.value == value
 
     def _at_punct(self, value: str) -> bool:
-        return self._at(TokenKind.PUNCT, value)
+        tok = self.current
+        return tok.kind is TokenKind.PUNCT and tok.value == value
 
     def _at_keyword(self, value: str) -> bool:
-        return self._at(TokenKind.KEYWORD, value)
+        tok = self.current
+        return tok.kind is TokenKind.KEYWORD and tok.value == value
 
     def _expect(self, kind: TokenKind, value: object = None) -> Token:
-        tok = self._peek()
+        tok = self.current
         if not self._at(kind, value):
             want = value if value is not None else kind.value
             raise ParseError(
@@ -113,7 +122,7 @@ class Parser:
         if self._at_keyword("const"):
             self._next()
             is_const = True
-        type_tok = self._peek()
+        type_tok = self.current
         base_type = self._parse_type_name()
         name_tok = self._expect(TokenKind.IDENT)
         if self._at_punct("(") and not is_const:
@@ -121,7 +130,7 @@ class Parser:
         return self._parse_global_rest(type_tok, base_type, name_tok, is_const)
 
     def _parse_type_name(self) -> Type:
-        tok = self._peek()
+        tok = self.current
         if tok.kind is TokenKind.KEYWORD and tok.value in _TYPE_KEYWORDS:
             self._next()
             return scalar(tok.value)
@@ -177,7 +186,7 @@ class Parser:
         params: list[ast.Param] = []
         if not self._at_punct(")"):
             while True:
-                ptype_tok = self._peek()
+                ptype_tok = self.current
                 ptype = self._parse_type_name()
                 if ptype.is_void:
                     raise ParseError(
@@ -217,7 +226,7 @@ class Parser:
         return ast.Block(location=open_tok.location, statements=statements)
 
     def parse_statement(self) -> ast.Stmt:
-        tok = self._peek()
+        tok = self.current
         if tok.kind is TokenKind.KEYWORD:
             if tok.value in _TYPE_KEYWORDS or tok.value == "const":
                 return self._parse_decl_stmt()
@@ -248,7 +257,7 @@ class Parser:
         if self._at_keyword("const"):
             self._next()
             is_const = True
-        type_tok = self._peek()
+        type_tok = self.current
         base_type = self._parse_type_name()
         name_tok = self._expect(TokenKind.IDENT)
         var_type = self._parse_array_suffix(base_type)
@@ -309,7 +318,7 @@ class Parser:
         self._expect_punct("(")
         init = None
         if not self._at_punct(";"):
-            if self._peek().kind is TokenKind.KEYWORD and self._peek().value in (
+            if self.current.kind is TokenKind.KEYWORD and self.current.value in (
                 _TYPE_KEYWORDS + ("const",)
             ):
                 init = self._parse_decl_stmt()  # consumes the ';'
@@ -341,7 +350,7 @@ class Parser:
 
     def _parse_expr_or_assign(self) -> ast.Stmt:
         """Parse an expression statement, assignment, or ++/-- sugar."""
-        tok = self._peek()
+        tok = self.current
         # Prefix ++x / --x.
         if self._at_punct("++") or self._at_punct("--"):
             op = self._next().value
@@ -356,14 +365,17 @@ class Parser:
             value = self.parse_expression()
             self._check_assignable(expr)
             return ast.AssignStmt(location=tok.location, target=expr, op="", value=value)
-        for compound, base_op in _COMPOUND_OPS.items():
-            if self._at_punct(compound):
-                self._next()
-                value = self.parse_expression()
-                self._check_assignable(expr)
-                return ast.AssignStmt(
-                    location=tok.location, target=expr, op=base_op, value=value
-                )
+        op_tok = self.current
+        if op_tok.kind is TokenKind.PUNCT and op_tok.value in _COMPOUND_OPS:
+            self._next()
+            value = self.parse_expression()
+            self._check_assignable(expr)
+            return ast.AssignStmt(
+                location=tok.location,
+                target=expr,
+                op=_COMPOUND_OPS[op_tok.value],
+                value=value,
+            )
         return ast.ExprStmt(location=tok.location, expr=expr)
 
     def _parse_postfix_target(self) -> ast.Expr:
@@ -391,27 +403,32 @@ class Parser:
     def parse_expression(self) -> ast.Expr:
         return self._parse_binary(0)
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_PRECEDENCE):
-            return self._parse_unary()
-        left = self._parse_binary(level + 1)
-        while any(self._at_punct(op) for op in _PRECEDENCE[level]):
-            op_tok = self._next()
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: parse operators binding at ``min_level``
+        or tighter.  Each right operand only takes operators one level
+        tighter than its own, which makes every level left-associative."""
+        left = self._parse_unary()
+        while True:
+            op_tok = self.current
+            if op_tok.kind is not TokenKind.PUNCT:
+                return left
+            level = _BINARY_LEVEL.get(op_tok.value)
+            if level is None or level < min_level:
+                return left
+            self._next()
             right = self._parse_binary(level + 1)
             left = ast.BinaryExpr(
                 location=op_tok.location, op=op_tok.value, left=left, right=right
             )
-        return left
 
     def _parse_unary(self) -> ast.Expr:
-        tok = self._peek()
-        if self._at_punct("-") or self._at_punct("~") or self._at_punct("!"):
+        tok = self.current
+        if tok.kind is TokenKind.PUNCT and tok.value in _UNARY_OPS:
             self._next()
             operand = self._parse_unary()
+            if tok.value == "+":  # unary plus is a no-op
+                return operand
             return ast.UnaryExpr(location=tok.location, op=tok.value, operand=operand)
-        if self._at_punct("+"):  # unary plus is a no-op
-            self._next()
-            return self._parse_unary()
         return self._parse_postfix()
 
     def _parse_postfix(self) -> ast.Expr:
@@ -424,7 +441,7 @@ class Parser:
         return expr
 
     def _parse_primary(self) -> ast.Expr:
-        tok = self._peek()
+        tok = self.current
         if tok.kind is TokenKind.INT:
             self._next()
             return ast.IntLiteral(location=tok.location, value=tok.value)

@@ -96,6 +96,29 @@ class ChunkSpec:
     def size_of(self, name: str) -> int:
         return self.liveness.intervals[name].vreg.size
 
+    def boundary_points(self) -> list[int]:
+        """Points where control enters or leaves the chunk, sorted.
+
+        These are the chunk's two ends plus, for every instruction with
+        a CFG edge to or from outside ``[lo, hi)``, the points before
+        and after it.  A boundary-crossing variable keeps its decided
+        location for the whole chunk (adoption re-decides only the
+        internal ones), so it must hold that location at each of them:
+        a value live only along a mid-chunk exit edge is otherwise
+        invisible at the next point and looks free to move away.
+        """
+        cfg = self.liveness.cfg
+        points = {0, self.hi - self.lo}
+        for block in cfg.blocks:
+            last = block.end - 1
+            for succ in block.successors:
+                target = cfg.blocks[succ].start
+                if (self.lo <= last < self.hi) != (self.lo <= target < self.hi):
+                    for s in (last, target):
+                        if self.lo <= s < self.hi:
+                            points.update((s - self.lo, s - self.lo + 1))
+        return sorted(points)
+
     def live_at_point(self, point: int) -> set[str]:
         """Variables live at program point ``point`` (before instruction
         ``lo + point``; the last point is the chunk's out-boundary)."""
@@ -159,10 +182,11 @@ def _build_chunk_model_reference(spec: ChunkSpec) -> IntegerProgram:
             prog.add_constraint(terms, "=", 1.0, name=f"home.{a}.{p}")
 
     # -- boundary fixing: crossing variables keep their decided register --
+    boundary = spec.boundary_points()
     for a, base in spec.fixed.items():
         if a not in names:
             continue
-        for p in (0, spec.hi - spec.lo):
+        for p in boundary:
             if a in spec.live_at_point(p):
                 if base in spec.candidates[a]:
                     prog.fix(_loc(a, p, base), 1)
@@ -408,10 +432,11 @@ def _build_chunk_model_fast(spec: ChunkSpec) -> IntegerProgram:
 
     # -- boundary fixing ---------------------------------------------------
     names_set = set(names)
+    boundary = spec.boundary_points()
     for a, base in spec.fixed.items():
         if a not in names_set:
             continue
-        for p in (0, spec.hi - spec.lo):
+        for p in boundary:
             if a in live_pts[p]:
                 if base in candidates[a]:
                     prog.fix(_loc(a, p, base), 1)

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..isa import devices as memmap
-from ..isa.assembler import BinaryImage, EncodedInstr
-from ..isa.instructions import MachineInstr
+from ..isa.assembler import BinaryImage
+from ..isa.instructions import F_BR, OPCODES
 from ..obs import metrics, trace
 from .devices import DeviceBoard
 
@@ -129,10 +129,7 @@ class Simulator:
         self.halted = False
         self.main_returned = False
         self.profile: dict[tuple[str, int], int] = {}
-        # word address -> EncodedInstr for fetch
-        self._by_address: dict[int, EncodedInstr] = {
-            enc.address: enc for enc in image.code
-        }
+        self._decoded = _predecode(image)
 
     # -- register/memory helpers ----------------------------------------------
 
@@ -161,248 +158,214 @@ class Simulator:
         if not memmap.DATA_START <= address < len(self.sram):
             raise SimulationError(f"data access outside SRAM: {address:#06x}")
 
-    # -- flag helpers --------------------------------------------------------------
-
-    def _add(self, a: int, b: int, carry_in: int = 0) -> int:
-        total = a + b + carry_in
-        self.flag_c = total > 0xFF
-        result = total & 0xFF
-        self.flag_z = result == 0
-        return result
-
-    def _sub(self, a: int, b: int, borrow_in: int = 0, keep_z: bool = False) -> int:
-        total = a - b - borrow_in
-        self.flag_c = total < 0
-        result = total & 0xFF
-        if keep_z:
-            self.flag_z = self.flag_z and result == 0
-        else:
-            self.flag_z = result == 0
-        return result
-
     # -- execution -----------------------------------------------------------------------
 
     def step(self) -> None:
-        """Execute one instruction."""
-        if self.halted:
-            return
-        enc = self._by_address.get(self.pc)
-        if enc is None:
-            raise SimulationError(f"invalid PC {self.pc:#06x}")
-        ins = enc.instr
-        next_pc = self.pc + enc.size_words
-        cost = ins.cycles
+        """Execute one instruction (none once halted)."""
+        # Every instruction costs at least one cycle, so a budget of
+        # one more cycle stops the loop after exactly one step.
+        self._run_until(self.cycles + 1)
 
-        taken_pc = self._execute(ins, next_pc)
-        if (
-            taken_pc is not None
-            and ins.spec.fmt == "br"
-            and ins.mnemonic != "rjmp"  # rjmp's 2 cycles are in the table
-        ):
-            cost += 1  # taken conditional-branch penalty
-        self.pc = taken_pc if taken_pc is not None else next_pc
-        self.cycles += cost
-        self.executed += 1
-        if self.collect_profile:
-            key = (ins.comment, ins.ir_index)
-            self.profile[key] = self.profile.get(key, 0) + 1
+    def _run_until(self, max_cycles: int) -> None:
+        """Run the predecoded program until halt or ``max_cycles``.
 
-    def _execute(self, ins: MachineInstr, next_pc: int) -> int | None:
-        """Execute; return the next PC for control transfers."""
-        op = ins.mnemonic
-        rd, rr = ins.rd, ins.rr
-        R = self.regs
-
-        if op == "nop":
-            return None
-        if op == "halt":
-            self.halted = True
-            return self.pc
-        if op == "mov":
-            self.set_reg(rd, R[rr])
-            return None
-        if op == "movw":
-            self.set_pair(rd, self.pair(rr))
-            return None
-        if op == "ldi":
-            self.set_reg(rd, ins.imm)
-            return None
-        if op == "clr":
-            self.set_reg(rd, 0)
-            self.flag_z = True
-            return None
-        if op == "add":
-            self.set_reg(rd, self._add(R[rd], R[rr]))
-            return None
-        if op == "adc":
-            self.set_reg(rd, self._add(R[rd], R[rr], int(self.flag_c)))
-            return None
-        if op == "sub":
-            self.set_reg(rd, self._sub(R[rd], R[rr]))
-            return None
-        if op == "sbc":
-            self.set_reg(rd, self._sub(R[rd], R[rr], int(self.flag_c), keep_z=True))
-            return None
-        if op == "subi":
-            self.set_reg(rd, self._sub(R[rd], ins.imm))
-            return None
-        if op == "sbci":
-            self.set_reg(rd, self._sub(R[rd], ins.imm, int(self.flag_c), keep_z=True))
-            return None
-        if op == "and" or op == "andi":
-            value = R[rd] & (R[rr] if op == "and" else ins.imm)
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "or" or op == "ori":
-            value = R[rd] | (R[rr] if op == "or" else ins.imm)
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "eor" or op == "eori":
-            value = R[rd] ^ (R[rr] if op == "eor" else ins.imm)
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "cp":
-            self._sub(R[rd], R[rr])
-            return None
-        if op == "cpc":
-            self._sub(R[rd], R[rr], int(self.flag_c), keep_z=True)
-            return None
-        if op == "cpi":
-            self._sub(R[rd], ins.imm)
-            return None
-        if op == "mul":
-            self.set_reg(rd, (R[rd] * R[rr]) & 0xFF)
-            return None
-        if op == "div":
-            self.set_reg(rd, R[rd] // R[rr] if R[rr] else 0xFF)
-            return None
-        if op == "mod":
-            self.set_reg(rd, R[rd] % R[rr] if R[rr] else R[rd])
-            return None
-        if op == "mul16":
-            self.set_pair(rd, (self.pair(rd) * self.pair(rr)) & 0xFFFF)
-            return None
-        if op == "div16":
-            divisor = self.pair(rr)
-            self.set_pair(rd, self.pair(rd) // divisor if divisor else 0xFFFF)
-            return None
-        if op == "mod16":
-            divisor = self.pair(rr)
-            self.set_pair(rd, self.pair(rd) % divisor if divisor else self.pair(rd))
-            return None
-        if op == "neg":
-            value = (-R[rd]) & 0xFF
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            self.flag_c = value != 0
-            return None
-        if op == "com":
-            value = (~R[rd]) & 0xFF
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "inc":
-            value = (R[rd] + 1) & 0xFF
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "dec":
-            value = (R[rd] - 1) & 0xFF
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "lsl":
-            self.flag_c = bool(R[rd] & 0x80)
-            value = (R[rd] << 1) & 0xFF
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "lsr":
-            self.flag_c = bool(R[rd] & 1)
-            value = R[rd] >> 1
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "rol":
-            carry = int(self.flag_c)
-            self.flag_c = bool(R[rd] & 0x80)
-            value = ((R[rd] << 1) | carry) & 0xFF
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "ror":
-            carry = int(self.flag_c)
-            self.flag_c = bool(R[rd] & 1)
-            value = (R[rd] >> 1) | (carry << 7)
-            self.set_reg(rd, value)
-            self.flag_z = value == 0
-            return None
-        if op == "push":
-            self.stack.append(("byte", R[rd]))
-            return None
-        if op == "pop":
-            if not self.stack or self.stack[-1][0] != "byte":
-                raise SimulationError("pop without matching push")
-            _, value = self.stack.pop()
-            self.set_reg(rd, value)
-            return None
-        if op == "in":
-            self.set_reg(rd, self.devices.io_read(rr, self.cycles))
-            return None
-        if op == "out":
-            self.devices.io_write(rr, R[rd])
-            return None
-        if op == "lds":
-            self.set_reg(rd, self.load(ins.addr))
-            return None
-        if op == "sts":
-            self.store(ins.addr, R[rd])
-            return None
-        if op == "ld_z":
-            self.set_reg(rd, self.load(self.pair(30)))
-            return None
-        if op == "ld_zp":
-            address = self.pair(30)
-            self.set_reg(rd, self.load(address))
-            self.set_pair(30, (address + 1) & 0xFFFF)
-            return None
-        if op == "st_z":
-            self.store(self.pair(30), R[rd])
-            return None
-        if op == "st_zp":
-            address = self.pair(30)
-            self.store(address, R[rd])
-            self.set_pair(30, (address + 1) & 0xFFFF)
-            return None
-        if op == "rjmp":
-            return next_pc + ins.addr
-        if op == "breq":
-            return next_pc + ins.addr if self.flag_z else None
-        if op == "brne":
-            return next_pc + ins.addr if not self.flag_z else None
-        if op == "brlo":
-            return next_pc + ins.addr if self.flag_c else None
-        if op == "brsh":
-            return next_pc + ins.addr if not self.flag_c else None
-        if op == "jmp":
-            return ins.addr
-        if op == "call":
-            self.stack.append(("ret", next_pc))
-            return ins.addr
-        if op == "ret":
-            if not self.stack:
-                # main returned: the program is done.
-                self.halted = True
-                self.main_returned = True
-                return self.pc
-            kind, value = self.stack.pop()
-            if kind != "ret":
-                raise SimulationError("ret with unbalanced stack")
-            return value
-        raise SimulationError(f"cannot execute {ins}")  # pragma: no cover
+        The machine state lives in locals for the whole loop and is
+        written back on exit, exceptions included.  Ops are tested in
+        measured frequency order: on the 15 Figure 9 cases (old and new
+        images) the first sixteen are 92% of executed instructions.
+        """
+        decoded = self._decoded
+        regs = self.regs
+        sram = self.sram
+        sram_end = len(sram)
+        data_start = memmap.DATA_START
+        stack = self.stack
+        push = stack.append
+        devices = self.devices
+        profile = self.profile
+        collect_profile = self.collect_profile
+        flag_z = self.flag_z
+        flag_c = self.flag_c
+        pc = self.pc
+        cycles = self.cycles
+        executed = self.executed
+        halted = self.halted
+        try:
+            while not halted and cycles < max_cycles:
+                try:
+                    op, rd, rr, imm, addr, next_pc, cost, is_cond_branch, ins = decoded[pc]
+                except KeyError:
+                    raise SimulationError(f"invalid PC {pc:#06x}") from None
+                if op == "lds":
+                    if not data_start <= addr < sram_end:
+                        raise SimulationError(f"data access outside SRAM: {addr:#06x}")
+                    regs[rd] = sram[addr]
+                elif op == "ldi":
+                    regs[rd] = imm & 0xFF
+                elif op == "clr":
+                    regs[rd] = 0
+                    flag_z = True
+                elif op == "cp":
+                    total = regs[rd] - regs[rr]
+                    flag_c = total < 0
+                    flag_z = total & 0xFF == 0
+                elif op == "rjmp":
+                    next_pc += addr
+                elif op == "call":
+                    push(("ret", next_pc))
+                    next_pc = addr
+                elif op == "ret":
+                    if not stack:
+                        # main returned: the program is done.
+                        halted = True
+                        self.main_returned = True
+                        next_pc = pc
+                    else:
+                        kind, value = stack.pop()
+                        if kind != "ret":
+                            raise SimulationError("ret with unbalanced stack")
+                        next_pc = value
+                elif op == "sts":
+                    if not data_start <= addr < sram_end:
+                        raise SimulationError(f"data access outside SRAM: {addr:#06x}")
+                    sram[addr] = regs[rd]
+                elif op == "subi":
+                    total = regs[rd] - imm
+                    flag_c = total < 0
+                    regs[rd] = value = total & 0xFF
+                    flag_z = value == 0
+                elif op == "sbci":
+                    total = regs[rd] - imm - flag_c
+                    flag_c = total < 0
+                    regs[rd] = value = total & 0xFF
+                    flag_z = flag_z and value == 0
+                elif op == "out":
+                    devices.io_write(rr, regs[rd])
+                elif is_cond_branch:
+                    if op == "brlo":
+                        taken = flag_c
+                    elif op == "brne":
+                        taken = not flag_z
+                    elif op == "breq":
+                        taken = flag_z
+                    else:  # brsh
+                        taken = not flag_c
+                    if taken:
+                        next_pc += addr
+                        cost += 1  # taken conditional-branch penalty
+                elif op == "cpc":
+                    total = regs[rd] - regs[rr] - flag_c
+                    flag_c = total < 0
+                    flag_z = flag_z and total & 0xFF == 0
+                elif op == "mov":
+                    regs[rd] = regs[rr]
+                elif op == "in":
+                    regs[rd] = devices.io_read(rr, cycles) & 0xFF
+                # -- the rarer ops ---------------------------------------------
+                elif op == "add" or op == "adc":
+                    total = regs[rd] + regs[rr] + (flag_c if op == "adc" else 0)
+                    flag_c = total > 0xFF
+                    regs[rd] = value = total & 0xFF
+                    flag_z = value == 0
+                elif op == "sub" or op == "sbc":
+                    total = regs[rd] - regs[rr] - (flag_c if op == "sbc" else 0)
+                    flag_c = total < 0
+                    regs[rd] = value = total & 0xFF
+                    flag_z = (flag_z if op == "sbc" else True) and value == 0
+                elif op == "cpi":
+                    total = regs[rd] - imm
+                    flag_c = total < 0
+                    flag_z = total & 0xFF == 0
+                elif op == "and" or op == "andi":
+                    value = regs[rd] & (regs[rr] if op == "and" else imm)
+                    regs[rd] = value & 0xFF
+                    flag_z = value == 0
+                elif op == "or" or op == "ori":
+                    value = regs[rd] | (regs[rr] if op == "or" else imm)
+                    regs[rd] = value & 0xFF
+                    flag_z = value == 0
+                elif op == "eor" or op == "eori":
+                    value = regs[rd] ^ (regs[rr] if op == "eor" else imm)
+                    regs[rd] = value & 0xFF
+                    flag_z = value == 0
+                elif op == "push":
+                    push(("byte", regs[rd]))
+                elif op == "pop":
+                    if not stack or stack[-1][0] != "byte":
+                        raise SimulationError("pop without matching push")
+                    regs[rd] = stack.pop()[1]
+                elif op == "halt":
+                    halted = True
+                    next_pc = pc
+                elif op == "jmp":
+                    next_pc = addr
+                elif op == "movw":
+                    regs[rd], regs[rd + 1] = regs[rr], regs[rr + 1]
+                elif op == "inc" or op == "dec":
+                    regs[rd] = value = (regs[rd] + (1 if op == "inc" else -1)) & 0xFF
+                    flag_z = value == 0
+                elif op == "neg":
+                    regs[rd] = value = -regs[rd] & 0xFF
+                    flag_z = value == 0
+                    flag_c = value != 0
+                elif op == "com":
+                    regs[rd] = value = ~regs[rd] & 0xFF
+                    flag_z = value == 0
+                elif op == "lsl" or op == "rol":
+                    value = regs[rd]
+                    carry_in = flag_c if op == "rol" else 0
+                    flag_c = bool(value & 0x80)
+                    regs[rd] = value = ((value << 1) | carry_in) & 0xFF
+                    flag_z = value == 0
+                elif op == "lsr" or op == "ror":
+                    value = regs[rd]
+                    carry_in = flag_c if op == "ror" else 0
+                    flag_c = bool(value & 1)
+                    regs[rd] = value = (value >> 1) | (carry_in << 7)
+                    flag_z = value == 0
+                elif op == "mul":
+                    regs[rd] = (regs[rd] * regs[rr]) & 0xFF
+                elif op == "div":
+                    regs[rd] = regs[rd] // regs[rr] if regs[rr] else 0xFF
+                elif op == "mod":
+                    regs[rd] = regs[rd] % regs[rr] if regs[rr] else regs[rd]
+                elif op == "mul16" or op == "div16" or op == "mod16":
+                    left = regs[rd] | (regs[rd + 1] << 8)
+                    right = regs[rr] | (regs[rr + 1] << 8)
+                    if op == "mul16":
+                        value = (left * right) & 0xFFFF
+                    elif op == "div16":
+                        value = left // right if right else 0xFFFF
+                    else:
+                        value = left % right if right else left
+                    regs[rd] = value & 0xFF
+                    regs[rd + 1] = (value >> 8) & 0xFF
+                elif op == "ld_z" or op == "ld_zp" or op == "st_z" or op == "st_zp":
+                    address = regs[30] | (regs[31] << 8)
+                    self._check_addr(address)
+                    if op == "ld_z" or op == "ld_zp":
+                        regs[rd] = sram[address]
+                    else:
+                        sram[address] = regs[rd]
+                    if op == "ld_zp" or op == "st_zp":
+                        address = (address + 1) & 0xFFFF
+                        regs[30] = address & 0xFF
+                        regs[31] = address >> 8
+                elif op != "nop":
+                    raise SimulationError(f"cannot execute {ins}")  # pragma: no cover
+                pc = next_pc
+                cycles += cost
+                executed += 1
+                if collect_profile:
+                    key = (ins.comment, ins.ir_index)
+                    profile[key] = profile.get(key, 0) + 1
+        finally:
+            self.pc = pc
+            self.cycles = cycles
+            self.executed = executed
+            self.halted = halted
+            self.flag_z = flag_z
+            self.flag_c = flag_c
 
     def run(self, max_cycles: int = 5_000_000) -> RunResult:
         """Run until HALT, main-return, or the cycle budget.
@@ -411,8 +374,7 @@ class Simulator:
         the simulation loop itself stays uninstrumented.
         """
         with trace.span("sim.run", max_cycles=max_cycles) as span:
-            while not self.halted and self.cycles < max_cycles:
-                self.step()
+            self._run_until(max_cycles)
             span.set(cycles=self.cycles, instructions=self.executed)
         metrics.counter("sim.runs").inc()
         metrics.counter("sim.cycles").inc(self.cycles)
@@ -427,6 +389,27 @@ class Simulator:
             devices=self.devices,
             profile=dict(self.profile),
         )
+
+
+def _predecode(image: BinaryImage) -> dict[int, tuple]:
+    """Decode ``image.code`` once: word address -> ``(op, rd, rr, imm,
+    addr, next_pc, base_cost, is_cond_branch, instr)``."""
+    decoded: dict[int, tuple] = {}
+    for enc in image.code:
+        ins = enc.instr
+        spec = OPCODES[ins.mnemonic]
+        decoded[enc.address] = (
+            ins.mnemonic,
+            ins.rd,
+            ins.rr,
+            ins.imm,
+            ins.addr,
+            enc.address + len(enc.words),
+            spec.cycles,
+            spec.fmt == F_BR and ins.mnemonic != "rjmp",
+            ins,
+        )
+    return decoded
 
 
 def run_image(

@@ -157,3 +157,60 @@ class TestMINLP:
         _, _, _, spec = chunk_fixture(candidates=3)
         with pytest.raises(ValueError):
             solve_chunk_minlp(spec, max_assignments=1)
+
+
+class TestMidChunkExits:
+    """A chunk whose branch leaves it mid-way: ``fn0``'s chunk [52, 58)
+    ends block ``cbr %$21.0 .L9 .L10`` at 53, and ``fn0.t0`` is live
+    only along the edge to ``.L10`` outside the chunk.  The model used
+    to see ``fn0.t0`` dead after 53, let it move off r18 there, and hand
+    r18 to ``$21.0`` — while adoption kept ``fn0.t0`` in r18."""
+
+    @staticmethod
+    def pair():
+        import random
+
+        from repro.fuzz.mutator import mutate
+        from repro.fuzz.progen import GenConfig, generate_program
+
+        rng = random.Random("perfbench-fuzz:1:small:0")
+        old = generate_program(rng, GenConfig(scheduler_iters=12, max_loop_bound=4))
+        new, _ = mutate(old, rng, rng.randint(1, 4))
+        return old.render(), new.render()
+
+    def test_exit_points_are_boundary_points(self):
+        old_source, new_source = self.pair()
+        old = compile_source(old_source)
+        module = Compiler(CompilerOptions()).front_and_middle(new_source)
+        fn = module.functions["fn0"]
+        record, report = allocate_ucc_greedy(fn, old.module.functions["fn0"], old.records["fn0"])
+        spec = build_spec_for_chunk(
+            fn,
+            analyze(fn),
+            record,
+            report,
+            52,
+            58,
+            changed_indices(fn, report.match),
+            static_frequencies(fn),
+            DEFAULT_ENERGY_MODEL,
+            1000.0,
+            4,
+        )
+        assert spec.boundary_points() == [0, 1, 2, 6]
+        model = build_chunk_model(spec)
+        assert model.fixed["L.fn0.t0.1.18"] == 1
+
+    def test_ucc_ilp_plans_the_pair(self):
+        from repro.analysis import verify_update
+        from repro.core import plan_update
+
+        old_source, new_source = self.pair()
+        old = compile_source(old_source)
+        # ucc and gcc plan it exactly as before the fix; ucc-ilp, which
+        # raised AllocationError, now matches the greedy plan.
+        expected = {"ucc": (172, 46), "gcc": (160, 37), "ucc-ilp": (172, 46)}
+        for ra, (script_bytes, diff_inst) in expected.items():
+            result = plan_update(old, new_source, config=UpdateConfig(ra=ra))
+            assert (result.script_bytes, result.diff_inst) == (script_bytes, diff_inst), ra
+            assert verify_update(result).ok, ra

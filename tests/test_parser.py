@@ -1,9 +1,11 @@
 """Parser unit tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.lang import ParseError, parse
+from repro.lang import ParseError, TokenKind, parse, tokenize
 from repro.lang import ast_nodes as ast
+from repro.lang.parser import Parser
 
 
 def parse_fn(body: str) -> ast.FunctionDef:
@@ -207,3 +209,125 @@ class TestParseErrors:
         with pytest.raises(ParseError) as excinfo:
             parse("void f() {\n  u8 = 3;\n}")
         assert excinfo.value.location.line == 2
+
+
+# ---------------------------------------------------------------------------
+# Precedence and associativity, checked against C's table
+# ---------------------------------------------------------------------------
+
+#: C's binary levels, loosest first; every level is left-associative.
+C_LEVELS = [
+    ["||"],
+    ["&&"],
+    ["|"],
+    ["^"],
+    ["&"],
+    ["==", "!="],
+    ["<", "<=", ">", ">="],
+    ["<<", ">>"],
+    ["+", "-"],
+    ["*", "/", "%"],
+]
+C_LEVEL = {op: level for level, ops in enumerate(C_LEVELS) for op in ops}
+
+_leaves = st.one_of(
+    st.integers(0, 300).map(lambda v: ("int", v)),
+    st.sampled_from(["a", "b", "cnt", "x1"]).map(lambda n: ("name", n)),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(st.just("bin"), st.sampled_from(sorted(C_LEVEL)), children, children),
+        st.tuples(st.just("un"), st.sampled_from(["-", "~", "!", "+"]), children),
+        st.tuples(st.just("idx"), st.sampled_from(["buf", "t"]), children),
+    )
+
+
+expression_trees = st.recursive(_leaves, _extend, max_leaves=14)
+
+
+def _render_full(tree) -> str:
+    """Every operator application in its own parentheses."""
+    kind = tree[0]
+    if kind == "int":
+        return str(tree[1])
+    if kind == "name":
+        return tree[1]
+    if kind == "idx":
+        return f"{tree[1]}[{_render_full(tree[2])}]"
+    if kind == "un":
+        return f"({tree[1]} {_render_full(tree[2])})"
+    return f"({_render_full(tree[2])} {tree[1]} {_render_full(tree[3])})"
+
+
+def _render_minimal(tree) -> str:
+    """Parentheses only where C's precedence or left-associativity
+    would otherwise regroup the tree."""
+    kind = tree[0]
+    if kind == "int":
+        return str(tree[1])
+    if kind == "name":
+        return tree[1]
+    if kind == "idx":
+        return f"{tree[1]}[{_render_minimal(tree[2])}]"
+    if kind == "un":
+        operand = _render_minimal(tree[2])
+        if tree[2][0] == "bin":
+            operand = f"({operand})"
+        return f"{tree[1]} {operand}"
+    level = C_LEVEL[tree[1]]
+    left, right = _render_minimal(tree[2]), _render_minimal(tree[3])
+    if tree[2][0] == "bin" and C_LEVEL[tree[2][1]] < level:
+        left = f"({left})"
+    if tree[3][0] == "bin" and C_LEVEL[tree[3][1]] <= level:
+        right = f"({right})"
+    return f"{left} {tree[1]} {right}"
+
+
+def _expected_shape(tree):
+    """The AST the tree denotes, without locations; unary ``+`` is a
+    no-op the parser drops."""
+    kind = tree[0]
+    if kind in ("int", "name"):
+        return tree
+    if kind == "idx":
+        return ("idx", ("name", tree[1]), _expected_shape(tree[2]))
+    if kind == "un":
+        operand = _expected_shape(tree[2])
+        return operand if tree[1] == "+" else ("un", tree[1], operand)
+    return ("bin", tree[1], _expected_shape(tree[2]), _expected_shape(tree[3]))
+
+
+def _shape(expr):
+    if isinstance(expr, ast.IntLiteral):
+        return ("int", expr.value)
+    if isinstance(expr, ast.NameRef):
+        return ("name", expr.name)
+    if isinstance(expr, ast.IndexExpr):
+        return ("idx", _shape(expr.base), _shape(expr.index))
+    if isinstance(expr, ast.UnaryExpr):
+        return ("un", expr.op, _shape(expr.operand))
+    assert isinstance(expr, ast.BinaryExpr)
+    return ("bin", expr.op, _shape(expr.left), _shape(expr.right))
+
+
+def _parse_expression(text: str):
+    parser = Parser(tokenize(text))
+    expr = parser.parse_expression()
+    assert parser.current.kind is TokenKind.EOF, text
+    return expr
+
+
+class TestPrecedenceProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(expression_trees)
+    def test_minimal_and_full_parenthesisation_agree(self, tree):
+        full = _shape(_parse_expression(_render_full(tree)))
+        minimal = _shape(_parse_expression(_render_minimal(tree)))
+        assert full == minimal == _expected_shape(tree)
+
+    def test_table_matches_the_parser(self):
+        from repro.lang.parser import _PRECEDENCE
+
+        assert _PRECEDENCE == C_LEVELS

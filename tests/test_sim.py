@@ -4,6 +4,9 @@ import pytest
 
 from repro.core import compile_source
 from repro.sim import DeviceBoard, SimulationError, Simulator, Timer, run_image
+from repro.workloads import CASES
+
+MAX_CYCLES = 20_000_000
 
 
 def run(source, **kwargs):
@@ -311,3 +314,71 @@ class TestExecutionAccounting:
         sim = Simulator(image)
         with pytest.raises(SimulationError):
             sim.step()
+
+
+class TestStepping:
+    """``step()`` runs the same predecoded loop as ``run()``, one
+    instruction at a time."""
+
+    @pytest.mark.parametrize("case_id", sorted(CASES))
+    def test_stepping_matches_run_on_figure9_images(self, case_id):
+        for source in (CASES[case_id].old_source, CASES[case_id].new_source):
+            image = compile_source(source).image
+            board = lambda: DeviceBoard(timer=Timer(fire_every_polls=3))  # noqa: E731
+            whole = Simulator(image, devices=board(), collect_profile=True).run(MAX_CYCLES)
+            stepped = Simulator(image, devices=board(), collect_profile=True)
+            while not stepped.halted and stepped.cycles < MAX_CYCLES:
+                stepped.step()
+            assert whole.halted and stepped.halted
+            assert (stepped.cycles, stepped.executed, stepped.main_returned) == (
+                whole.cycles,
+                whole.instructions,
+                whole.main_returned,
+            )
+            assert stepped.profile == whole.profile
+            assert stepped.devices.led.writes == whole.devices.led.writes
+            assert stepped.devices.radio.sent == whole.devices.radio.sent
+
+    def test_step_after_halt_does_nothing(self):
+        from repro.isa import MachineInstr, assemble, label
+
+        sim = Simulator(assemble([label("main"), MachineInstr("halt")]))
+        sim.step()
+        state = (sim.pc, sim.cycles, sim.executed)
+        sim.step()
+        assert sim.halted and (sim.pc, sim.cycles, sim.executed) == state == (0, 1, 1)
+
+
+class TestSimulationErrors:
+    """Invalid execution raises :class:`SimulationError` with these
+    exact messages, and leaves the state as it was before the failing
+    instruction."""
+
+    @pytest.mark.parametrize(
+        "program,message,executed",
+        # ``executed`` counts the leading ldi: the jmp to a hole runs,
+        # every other last instruction fails.
+        [
+            (["jmp@0x0100"], "invalid PC 0x0100", 2),
+            (["pop"], "pop without matching push", 1),
+            (["push", "ret"], "ret with unbalanced stack", 2),
+            (["lds@0x0010"], "data access outside SRAM: 0x0010", 1),
+            (["sts@0x1100"], "data access outside SRAM: 0x1100", 1),
+            (["ld_z"], "data access outside SRAM: 0x0000", 1),
+        ],
+        ids=["invalid-pc", "pop", "ret", "lds", "sts", "ld_z"],
+    )
+    def test_message(self, program, message, executed):
+        from repro.isa import MachineInstr, assemble, label
+
+        instrs = [label("main"), MachineInstr("ldi", rd=2, imm=7)]
+        for text in program:
+            mnemonic, _, addr = text.partition("@")
+            instrs.append(MachineInstr(mnemonic, rd=2, addr=int(addr or "0", 16)))
+        sim = Simulator(assemble(instrs))
+        with pytest.raises(SimulationError) as excinfo:
+            sim.run()
+        assert str(excinfo.value) == message
+        # Only the instructions before the failing one took effect.
+        assert sim.executed == executed
+        assert sim.reg(2) == 7
