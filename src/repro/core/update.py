@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from ..config import UpdateConfig, merge_legacy_strategy
 from ..datalayout.gcc_da import allocate_gcc_da
@@ -30,7 +31,9 @@ from ..diff.differ import BinaryDiff, diff_images
 from ..diff.packets import Packetisation, packetize
 from ..diff.patcher import verify_patch
 from ..energy.model import DEFAULT_ENERGY_MODEL, EnergyModel
+from ..ir.function import IRModule
 from ..ir.liveness import analyze
+from ..isa.assembler import BinaryImage
 from ..obs import metrics, trace
 from ..regalloc.base import verify_allocation
 from .errors import PatchDivergenceError, PlanStateError
@@ -111,6 +114,12 @@ class UpdateResult:
 
 class UpdatePlanner:
     """Plans updates against a compiled old version."""
+
+    #: ``(compiler, source) -> IRModule`` run in place of
+    #: ``compiler.front_and_middle`` when set.  The fleet service installs
+    #: a content-addressed memo here; the module it returns is shared
+    #: with other plans, so every later stage treats it as read-only.
+    _front_end: Callable[[Compiler, str], IRModule] | None = None
 
     def __init__(
         self,
@@ -214,7 +223,10 @@ class UpdatePlanner:
             checked=checked,
         )
         compiler = Compiler(options)
-        module = compiler.front_and_middle(new_source)
+        if self._front_end is not None:
+            module = self._front_end(compiler, new_source)
+        else:
+            module = compiler.front_and_middle(new_source)
 
         # -- register allocation ------------------------------------------
         ra_reports: dict[str, UCCReport] = {}
@@ -401,18 +413,32 @@ def measure_cycles(
     logical event schedule — Diff_cycle then reflects code quality, not
     timer-interleaving noise (see :class:`repro.sim.devices.Timer`).
     """
-    old_run = run_image(
-        result.old.image,
+    return _measure_cycles(result, simulated_cycles, fire_every_polls, max_cycles)
+
+
+def simulated_cycles(
+    image: BinaryImage, fire_every_polls: int, max_cycles: int
+) -> int:
+    """Cycles of one run of ``image`` under the poll-driven timer."""
+    return run_image(
+        image,
         devices=DeviceBoard(timer=Timer(fire_every_polls=fire_every_polls)),
         max_cycles=max_cycles,
-    )
-    new_run = run_image(
-        result.new.image,
-        devices=DeviceBoard(timer=Timer(fire_every_polls=fire_every_polls)),
-        max_cycles=max_cycles,
-    )
-    result.old_cycles = old_run.cycles
-    result.new_cycles = new_run.cycles
+    ).cycles
+
+
+def _measure_cycles(
+    result: UpdateResult,
+    cycles_of: Callable[[BinaryImage, int, int], int],
+    fire_every_polls: int = 3,
+    max_cycles: int = 20_000_000,
+) -> UpdateResult:
+    """:func:`measure_cycles` with the simulation supplied by the caller
+    (the fleet service passes a memo of :func:`simulated_cycles`)."""
+    old_cycles = cycles_of(result.old.image, fire_every_polls, max_cycles)
+    new_cycles = cycles_of(result.new.image, fire_every_polls, max_cycles)
+    result.old_cycles = old_cycles
+    result.new_cycles = new_cycles
     return result
 
 

@@ -32,7 +32,17 @@ from ..lang.types import Type, U8
 
 
 class IROp(enum.Enum):
-    """IR opcodes."""
+    """IR opcodes.
+
+    Members hash by identity, in C: ``Enum.__hash__`` hashes the member
+    name in Python, and the front end, optimiser and back end test or
+    look up opcodes in sets and dicts hundreds of thousands of times
+    per plan.  Members are singletons and compare by identity, so this
+    hash agrees with ``==``; nothing may depend on the iteration order
+    of an opcode set (it was already salted by ``PYTHONHASHSEED``).
+    """
+
+    __hash__ = object.__hash__
 
     MOV = "mov"
     ADD = "add"

@@ -8,16 +8,24 @@ their own literal metric names (`docs/OBSERVABILITY.md` requires
 metric names to be literals at the call site, so a generic cache must
 not publish on behalf of its users).
 
-Two caches matter in practice:
+Four caches matter in practice, all owned by one
+:class:`~repro.service.fleet.FleetUpdateService` (pool workers keep
+module-level copies of the last three):
 
-* the **compile cache** — ``(source digest, CompileConfig digest)`` →
-  :class:`~repro.core.compiler.CompiledProgram`; shared by every job
-  of a batch that redeploys the same old program;
 * the **job cache** — :meth:`repro.config.FleetJob.digest` →
   :class:`~repro.service.fleet.JobOutcome`; a warm batch replays
-  without planning anything.
+  without planning anything;
+* the **compile cache** — :func:`compile_key`, ``(source digest,
+  CompileConfig digest)`` → :class:`~repro.core.compiler.CompiledProgram`;
+  shared by every job that redeploys the same old program;
+* the **front-end cache** — :func:`front_end_key`, ``(source digest,
+  optimize, depths)`` → the optimised :class:`~repro.ir.function.IRModule`
+  of a new source; shared read-only by every strategy that plans it;
+* the **cycles cache** — :func:`cycles_key`, every image field the
+  simulator reads plus the timer and cycle budget → the cycle count of
+  one run; shared by every plan that measures the same image.
 
-(The third content-addressed cache, for canonicalised ILP models,
+(A fifth content-addressed cache, for canonicalised ILP models,
 lives with the solver in :mod:`repro.ilp.canonical`.)
 """
 
@@ -25,7 +33,10 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
+
+if TYPE_CHECKING:
+    from ..isa.assembler import BinaryImage
 
 
 def source_digest(source: str) -> str:
@@ -36,6 +47,37 @@ def source_digest(source: str) -> str:
 def compile_key(source: str, config_digest: str) -> str:
     """Cache key of one compile: source content x configuration."""
     return f"{source_digest(source)}:{config_digest}"
+
+
+def front_end_key(source: str, optimize: bool, depths: Mapping[str, int]) -> str:
+    """Cache key of one front end: source content x the two compiler
+    options :meth:`~repro.core.compiler.Compiler.front_and_middle`
+    reads."""
+    return f"{source_digest(source)}:{int(optimize)}:{sorted(depths.items())!r}"
+
+
+def cycles_key(image: "BinaryImage", fire_every_polls: int, max_cycles: int) -> str:
+    """Cache key of one simulated run: every field of ``image`` the
+    simulator reads (per instruction: address, words and the decoded
+    operands; the data segment, its base and the entry point) x the
+    timer period x the cycle budget."""
+    code = [
+        (
+            enc.address,
+            enc.words,
+            enc.instr.mnemonic,
+            enc.instr.rd,
+            enc.instr.rr,
+            enc.instr.imm,
+            enc.instr.addr,
+        )
+        for enc in image.code
+    ]
+    tail = f"|{image.data_base}|{image.entry}|{fire_every_polls}|{max_cycles}"
+    digest = hashlib.sha256(repr(code).encode("utf-8"))
+    digest.update(image.data)
+    digest.update(tail.encode("utf-8"))
+    return digest.hexdigest()
 
 
 class ContentCache:
@@ -82,4 +124,10 @@ class ContentCache:
         return self.hits / total if total else 0.0
 
 
-__all__ = ["ContentCache", "compile_key", "source_digest"]
+__all__ = [
+    "ContentCache",
+    "compile_key",
+    "cycles_key",
+    "front_end_key",
+    "source_digest",
+]
