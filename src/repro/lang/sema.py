@@ -97,6 +97,21 @@ class CheckedProgram:
                 return sym
         raise KeyError(name)
 
+    def without_syntax(self) -> CheckedProgram:
+        """This program with an empty syntax tree and no per-function
+        results, sharing its global symbols and initial values.
+
+        Once the IR is built, later stages read only ``globals`` and
+        ``global_inits``; the tree and the function definitions are
+        most of a checked program's memory.  The copy cannot be lowered
+        to IR again.
+        """
+        return CheckedProgram(
+            program=ast.Program(),
+            globals=self.globals,
+            global_inits=self.global_inits,
+        )
+
 
 class _Scope:
     """A lexical scope mapping names to symbols, chained to a parent."""

@@ -69,6 +69,16 @@ class TestGlobalInitialisers:
         checked = check_ok("u8 t[4] = {1, 2};")
         assert checked.global_inits["t"] == [1, 2, 0, 0]
 
+    def test_without_syntax_keeps_globals_and_inits(self):
+        checked = check_ok("u8 t[4] = {1, 2}; u16 x = 7; void main() { x = t[1]; }")
+        bare = checked.without_syntax()
+        assert bare.globals is checked.globals
+        assert bare.global_inits is checked.global_inits
+        assert bare.global_symbol("x").ctype == U16
+        assert not bare.program.functions and not bare.program.globals
+        assert not bare.functions
+        assert checked.functions  # the original is untouched
+
     def test_too_many_array_inits_rejected(self):
         check_fails("u8 t[2] = {1, 2, 3};")
 
